@@ -329,6 +329,12 @@ def cmd_zeta(args, cfg):
         print(f"cutoff={_g(v.cutoff_used)}")
         return 0
     if args.action == "scan":
+        for flag in ("workers", "re_steps", "im_steps"):
+            if getattr(args, flag) < 1:
+                raise InputError(
+                    f"--{flag.replace('_', '-')} must be >= 1, "
+                    f"got {getattr(args, flag)}"
+                )
         spec, sigma, tau, tail_target, xi_params = _zeta_common(args, cfg)
         res = [
             args.re_start + i * (args.re_stop - args.re_start) / max(args.re_steps - 1, 1)

@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConvergenceRegionError, InputError, InsufficientSpectrumError
 
 __all__ = [
@@ -63,8 +65,9 @@ class PrimeGeodesic:
 class LengthSpectrum:
     """Prime geodesics of one quotient, complete up to completeness_cutoff.
 
-    growth_constant is the fitted C with N(R) <= C * exp(2nR); validate()
-    records it."""
+    growth_constant is the C with N(R) <= C * exp(2nR), from the file
+    header or recorded by validate(); while it is None, evaluations use the
+    fitted C without recording it."""
 
     n: int
     entries: tuple = ()
@@ -290,22 +293,16 @@ def validate(spectrum, growth_bound=None):
 
     N counting primes (with multiplicity) of length <= R.  The fitted C is
     recorded on the spectrum.  Report-based: never raises on violations."""
+    c = _columns(spectrum).growth
     report = ValidationReport(
         entry_count=sum(g.multiplicity for g in spectrum.entries),
         sorted_ok=True,
-        fitted_growth=0.0,
+        fitted_growth=c,
     )
     keys = [(g.length, g.angles) for g in spectrum.entries]
     if keys != sorted(keys):
         report.sorted_ok = False
         report.warnings.append("entries are not sorted by (length, angles)")
-    two_n = 2 * spectrum.n
-    seen = 0
-    c = 0.0
-    for g in sorted(spectrum.entries, key=lambda g: g.length):
-        seen += g.multiplicity
-        c = max(c, seen * math.exp(-two_n * g.length))
-    report.fitted_growth = c
     spectrum.growth_constant = c
     if growth_bound is not None and c > growth_bound:
         report.warnings.append(
@@ -375,29 +372,44 @@ class ClassStream:
         return len(self.terms)
 
 
-def _prime_tail(g, two_n, x, k0):
-    """Bound on sum over powers k >= k0 of (1/k) e^{-x k l} |det|^{-1}."""
-    el = math.exp(-g.length)
-    exl = math.exp(-x * g.length)
-    if exl >= 1.0:
-        return math.inf
-    return (
-        g.multiplicity
-        * (1.0 - el) ** (-two_n)
-        * (1.0 / k0)
-        * exl ** k0
-        / (1.0 - exl)
-    )
+class _TailColumns:
+    """One spectrum's entries as numpy columns for the tail search: lengths,
+    weights mult * (1 - e^{-l})^{-2n} (the safe determinant bound), and the
+    fitted growth constant.  Also holds the last ClassStream built from
+    them and the key it was built for."""
+
+    def __init__(self, spectrum):
+        entries = spectrum.entries
+        two_n = 2 * spectrum.n
+        self.entries = entries
+        self.n = spectrum.n
+        self.lengths = np.fromiter((g.length for g in entries), float, len(entries))
+        mult = np.fromiter((g.multiplicity for g in entries), float, len(entries))
+        with np.errstate(divide="ignore"):
+            self.weights = mult * (1.0 - np.exp(-self.lengths)) ** (-two_n)
+        order = np.argsort(self.lengths, kind="stable")
+        counts = np.cumsum(mult[order])
+        self.growth = float(
+            np.max(counts * np.exp(-two_n * self.lengths[order]), initial=0.0)
+        )
+        self.stream_key = None
+        self.stream = None
 
 
-def _unknown_tail(spectrum, x):
+def _columns(spectrum):
+    """The spectrum's tail columns, rebuilt when its entries or n change."""
+    cols = getattr(spectrum, "_tail_columns", None)
+    if cols is None or cols.entries is not spectrum.entries or cols.n != spectrum.n:
+        cols = _TailColumns(spectrum)
+        spectrum._tail_columns = cols
+    return cols
+
+
+def _unknown_tail(spectrum, x, growth):
     """Bound on the class sum over primes missing from the spectrum, all of
     which have length > completeness_cutoff.  Zero when the spectrum is
     declared complete to infinity or certifies zero growth; infinite when
     the decay rate does not beat the 2n counting growth."""
-    growth = spectrum.growth_constant
-    if growth is None:
-        growth = validate(spectrum).fitted_growth
     rc = spectrum.completeness_cutoff
     if growth == 0.0 or math.isinf(rc):
         return 0.0
@@ -414,12 +426,25 @@ def _unknown_tail(spectrum, x):
     )
 
 
-def _total_tail(spectrum, x, cutoff, unknown):
-    two_n = 2 * spectrum.n
-    total = unknown
-    for g in spectrum.entries:
-        k0 = int(math.floor(cutoff / g.length)) + 1
-        total += _prime_tail(g, two_n, x, k0)
+def _total_tail(cols, x, unknown):
+    """The certified bound on everything omitted, as a function of the
+    cutoff: `unknown` plus, over listed primes, the geometric tail
+
+        w / k0 * e^{-x l k0} / (1 - e^{-x l}),  k0 = floor(cutoff / l) + 1,
+
+    of the powers past the cutoff."""
+    lengths = cols.lengths
+    xl = x * lengths
+    with np.errstate(divide="ignore"):
+        scale = cols.weights / (1.0 - np.exp(-xl))
+    if not np.isfinite(scale).all():
+        # a prime whose powers do not decay in floating point
+        return lambda cutoff: math.inf
+
+    def total(cutoff):
+        k0 = np.floor(cutoff / lengths) + 1.0
+        return unknown + float(np.sum(scale / k0 * np.exp(-xl * k0)))
+
     return total
 
 
@@ -428,16 +453,37 @@ def class_iterator(spectrum, s_real, tail_target, cutoff=None):
     given) so that the certified bound on all omitted classes is at most
     tail_target.  The bound combines per-prime geometric tails, the safe
     determinant bound (1 - e^{-l})^{-2n}, and the growth constant for primes
-    beyond the completeness cutoff.  Terms stream in order of total length."""
+    beyond the completeness cutoff.  Terms stream in order of total length.
+
+    The last stream is kept on the spectrum and returned again for the same
+    entries, n, completeness cutoff, growth constant, decay rate, target
+    and explicit cutoff, so evaluations that differ only in Im(s) search
+    once."""
     x = float(s_real)
-    two_n = 2 * spectrum.n
+    if not math.isfinite(x):
+        raise InputError(f"decay rate must be finite, got {x}")
     if x <= 0:
         raise ConvergenceRegionError(
             f"class sums require a positive decay rate, got {x}"
         )
-    if tail_target <= 0:
-        raise InputError(f"tail_target must be positive, got {tail_target}")
-    unknown = _unknown_tail(spectrum, x)
+    if not (math.isfinite(tail_target) and tail_target > 0):
+        raise InputError(
+            f"tail_target must be positive and finite, got {tail_target}"
+        )
+    if cutoff is not None:
+        cutoff = float(cutoff)
+        if not (math.isfinite(cutoff) and cutoff >= 0):
+            raise InputError(f"cutoff must be finite and >= 0, got {cutoff}")
+    cols = _columns(spectrum)
+    key = (spectrum.completeness_cutoff, spectrum.growth_constant, x,
+           tail_target, cutoff)
+    if cols.stream_key == key:
+        return cols.stream
+    growth = spectrum.growth_constant
+    if growth is None:
+        growth = cols.growth
+    two_n = 2 * spectrum.n
+    unknown = _unknown_tail(spectrum, x, growth)
     if math.isinf(unknown):
         # unlisted primes beyond the completeness cutoff cannot be bounded
         if x <= two_n:
@@ -454,36 +500,38 @@ def class_iterator(spectrum, s_real, tail_target, cutoff=None):
             f"spectrum complete to {spectrum.completeness_cutoff} certifies "
             f"at best {unknown:.3e} > target {tail_target:.3e}"
         )
+    total_tail = _total_tail(cols, x, unknown)
     if cutoff is None:
         lo = 0.0
-        hi = max(1.0, max((g.length for g in spectrum.entries), default=1.0))
+        hi = max(1.0, float(cols.lengths.max(initial=1.0)))
         for _ in range(200):
-            if _total_tail(spectrum, x, hi, unknown) <= tail_target:
+            if total_tail(hi) <= tail_target:
                 break
             hi *= 2.0
         else:
             raise InsufficientSpectrumError("could not reach the tail target")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if _total_tail(spectrum, x, mid, unknown) <= tail_target:
+            if total_tail(mid) <= tail_target:
                 hi = mid
             else:
                 lo = mid
         cutoff = hi
-    else:
-        cutoff = float(cutoff)
-    bound = _total_tail(spectrum, x, cutoff, unknown)
+    bound = total_tail(cutoff)
     if bound > tail_target:
         raise InsufficientSpectrumError(
             f"cutoff {cutoff} certifies {bound:.3e} > target {tail_target:.3e}"
         )
     terms = []
-    for idx, g in enumerate(spectrum.entries):
+    for idx in np.flatnonzero(cols.lengths <= cutoff).tolist():
+        g = spectrum.entries[idx]
         k = 1
         while k * g.length <= cutoff:
             terms.append((k * g.length, idx, k, ClassTerm(g, k)))
             k += 1
     terms.sort(key=lambda t: t[:3])
-    return ClassStream(
+    cols.stream = ClassStream(
         terms=tuple(t[3] for t in terms), tail_bound=bound, cutoff=cutoff
     )
+    cols.stream_key = key
+    return cols.stream

@@ -25,7 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import rootdata, specfun
-from .errors import ConvergenceRegionError, InputError, ModelInvariantError
+from .errors import (
+    ConvergenceRegionError,
+    GeoflowError,
+    InputError,
+    ModelInvariantError,
+)
 from .rootdata import Irrep, VirtualRep, weyl_dim, w0_act
 from .spectrum import class_iterator, det_factor, holonomy_eigenvalues
 from .summation import tree_sum
@@ -367,7 +372,8 @@ def xi_normalizer(s, sigma, vol, p, C_Gamma, c_norm=1.0):
     with eps = epsilon_sigma(sigma) and
     c_G = eps (dim sigma C_Gamma - dim sigma gamma_Euler p).  Polynomial
     integrals are evaluated termwise exactly.  A nonpositive-integer 1+s
-    raises the underlying log-gamma pole error."""
+    raises the underlying log-gamma pole error; a value too large for a
+    float raises GeoflowError."""
     s = complex(s)
     eps = epsilon_sigma(sigma)
     dim = weyl_dim(sigma)
@@ -380,7 +386,12 @@ def xi_normalizer(s, sigma, vol, p, C_Gamma, c_norm=1.0):
         + s * c_g
     )
     exponent -= p * eps * dim * specfun.log_gamma(1.0 + s)
-    return cmath.exp(exponent)
+    try:
+        return cmath.exp(exponent)
+    except OverflowError:
+        raise GeoflowError(
+            f"xi_normalizer overflows at s={s}: Re log xi = {exponent.real:.6g}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,38 @@ def test_zeta_scan_csv_shape_and_worker_identity(tmp_path, capsys, deep_path):
     assert len(lines) == 1 + 3 * 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--s", "nan"], "decay rate"),
+    (["--s", "4", "--tail-target", "nan"], "tail_target"),
+    (["--s", "4", "--cutoff", "nan"], "cutoff"),
+    (["--s", "4", "--cutoff", "-1"], "cutoff"),
+    (["--s", "4", "--cutoff", "inf"], "cutoff"),
+], ids=["s-nan", "tail-target-nan", "cutoff-nan", "cutoff-negative",
+        "cutoff-inf"])
+def test_zeta_eval_non_finite_input_exits_2(capsys, deep_path, flags, message):
+    code, _, err = run(capsys, "zeta", "eval", "--spectrum", deep_path, *flags)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--re-steps", "--im-steps"])
+def test_zeta_scan_count_below_one_exits_2(capsys, one_prime_path, flag):
+    code, out, err = run(capsys, "zeta", "scan", "--spectrum", one_prime_path,
+                         "--re-start", "3", "--re-stop", "4", flag, "0")
+    assert code == 2
+    assert f"{flag} must be >= 1" in err
+    assert out == ""
+
+
+def test_zeta_eval_xi_overflow_exits_1(capsys):
+    code, out, err = run(capsys, "zeta", "eval", "--kind", "xi", "--n", "2",
+                         "--sigma", "3,2", "--s", "1", "--vol", "1.5",
+                         "--p", "2", "--C-Gamma", "0.1")
+    assert code == 1
+    assert out == ""
+    assert "overflows at s=(1+0j)" in err and "Re log xi" in err
+
+
 # ---------------------------------------------------------------------------
 # ledger
 

@@ -359,3 +359,161 @@ def test_round_trip_property(spec, fmt):
 def test_validate_never_raises(spec):
     report = sp.validate(spec)
     assert report.fitted_growth >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the tail engine against a per-prime reference
+
+def reference_bound(spec, x, cutoff):
+    """The certified tail bound, one prime at a time in pure Python."""
+    two_n = 2 * spec.n
+    growth = spec.growth_constant
+    if growth is None:
+        seen, growth = 0, 0.0
+        for g in sorted(spec.entries, key=lambda g: g.length):
+            seen += g.multiplicity
+            growth = max(growth, seen * math.exp(-two_n * g.length))
+    rc = spec.completeness_cutoff
+    if growth == 0.0 or math.isinf(rc):
+        total = 0.0
+    elif x <= two_n:
+        total = math.inf
+    else:
+        total = ((1.0 - math.exp(-rc)) ** (-two_n) / (1.0 - math.exp(-x * rc))
+                 * growth * x * math.exp(-(x - two_n) * rc) / (x - two_n))
+    for g in spec.entries:
+        k0 = int(math.floor(cutoff / g.length)) + 1
+        exl = math.exp(-x * g.length)
+        total += (g.multiplicity * (1.0 - math.exp(-g.length)) ** (-two_n)
+                  / k0 * exl ** k0 / (1.0 - exl))
+    return total
+
+
+def reference_classes(spec, cutoff):
+    out = []
+    for idx, g in enumerate(spec.entries):
+        k = 1
+        while k * g.length <= cutoff:
+            out.append((k * g.length, idx, k))
+            k += 1
+    return [(spec.entries[idx], k) for _, idx, k in sorted(out)]
+
+
+@st.composite
+def tail_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    entries = [
+        sp.PrimeGeodesic(l, (0.5,) * n, m)
+        for l, m in draw(st.lists(
+            st.tuples(st.floats(min_value=0.1, max_value=4.0),
+                      st.integers(min_value=1, max_value=3)),
+            max_size=8))
+    ]  # drawn unsorted, repeats allowed
+    rc = draw(st.sampled_from([math.inf, 1.0, 3.0, 5.0]))
+    spec = sp.LengthSpectrum(n=n, entries=entries, completeness_cutoff=rc)
+    low = 0.3 if math.isinf(rc) else 2 * n + 0.5
+    x = draw(st.floats(min_value=low, max_value=low + 6.0))
+    return spec, x
+
+
+@settings(max_examples=80, deadline=None)
+@given(tail_cases(), st.floats(min_value=0.0, max_value=12.0),
+       st.sampled_from([1e-3, 1e-6, 1e-10]))
+def test_tail_engine_matches_per_prime_reference(case, cutoff, target):
+    spec, x = case
+    # explicit cutoff: the bound and the class list at that cutoff
+    expect = reference_bound(spec, x, cutoff)
+    stream = sp.class_iterator(spec, x, 2.0 * expect + 1e-300, cutoff=cutoff)
+    assert stream.tail_bound == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert [(t.prime, t.power) for t in stream] == reference_classes(spec, cutoff)
+    # searched cutoff: the reference certifies it and lists the same classes
+    try:
+        stream = sp.class_iterator(spec, x, target)
+    except InsufficientSpectrumError:
+        assert reference_bound(spec, x, 1e6) > target * (1 - 1e-12)
+        return
+    expect = reference_bound(spec, x, stream.cutoff)
+    assert expect <= target * (1 + 1e-12)
+    assert stream.tail_bound == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert [(t.prime, t.power) for t in stream] == reference_classes(
+        spec, stream.cutoff)
+    assert spec.growth_constant is None
+
+
+# ---------------------------------------------------------------------------
+# stream reuse
+
+def reuse_spectrum():
+    spec = sp.synthesize(1, 40, seed=8)
+    spec.completeness_cutoff = 12.0
+    spec.growth_constant = None
+    return spec
+
+
+def fresh_stream(spec, x, target):
+    """The stream from a spectrum object that has never been searched."""
+    copy = sp.LengthSpectrum(n=spec.n, entries=spec.entries,
+                             completeness_cutoff=spec.completeness_cutoff,
+                             growth_constant=spec.growth_constant)
+    return sp.class_iterator(copy, x, target)
+
+
+def same_stream(a, b):
+    return (a.terms == b.terms and a.tail_bound == b.tail_bound
+            and a.cutoff == b.cutoff)
+
+
+def test_class_iterator_reuses_stream_for_identical_call():
+    spec = reuse_spectrum()
+    first = sp.class_iterator(spec, 4.0, 1e-8)
+    assert sp.class_iterator(spec, 4.0, 1e-8) is first
+    assert sp.class_iterator(spec, 4.0, 1e-8, cutoff=first.cutoff) is not first
+
+
+@pytest.mark.parametrize("change", [
+    lambda spec: setattr(spec, "completeness_cutoff", 20.0),
+    lambda spec: setattr(spec, "growth_constant", 0.5),
+    lambda spec: setattr(spec, "entries", spec.entries[:30]),
+    lambda spec: setattr(spec, "entries", tuple(spec.entries)[::-1]),
+])
+def test_class_iterator_fresh_stream_after_change(change):
+    spec = reuse_spectrum()
+    first = sp.class_iterator(spec, 4.0, 1e-8)
+    change(spec)
+    again = sp.class_iterator(spec, 4.0, 1e-8)
+    assert again is not first
+    assert same_stream(again, fresh_stream(spec, 4.0, 1e-8))
+
+
+def test_class_iterator_fresh_stream_for_new_target_or_rate():
+    spec = reuse_spectrum()
+    first = sp.class_iterator(spec, 4.0, 1e-8)
+    for x, target in [(4.0, 1e-9), (4.5, 1e-8)]:
+        again = sp.class_iterator(spec, x, target)
+        assert again is not first
+        assert same_stream(again, fresh_stream(spec, x, target))
+
+
+def test_class_iterator_leaves_growth_constant_unset():
+    spec = reuse_spectrum()
+    sp.class_iterator(spec, 4.0, 1e-8)
+    assert spec.growth_constant is None
+    assert sp.validate(spec).fitted_growth == spec.growth_constant > 0.0
+
+
+# ---------------------------------------------------------------------------
+# bad input to the class iterator
+
+@pytest.mark.parametrize("x, target, cutoff", [
+    (math.nan, 1e-8, None),
+    (math.inf, 1e-8, None),
+    (3.0, math.nan, None),
+    (3.0, math.inf, None),
+    (4.0, 1e-8, math.nan),
+    (4.0, 1e-8, math.inf),
+    (4.0, 1e-8, -1.0),
+], ids=["rate-nan", "rate-inf", "target-nan", "target-inf", "cutoff-nan",
+        "cutoff-inf", "cutoff-negative"])
+def test_class_iterator_rejects_non_finite_input(x, target, cutoff):
+    with pytest.raises(InputError):
+        sp.class_iterator(one_prime(), x, target, cutoff=cutoff)
