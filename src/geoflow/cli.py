@@ -12,12 +12,14 @@ invariant violation, 1 any other computational failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import random
 import sys
 from fractions import Fraction
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from . import rootdata, specfun, spectrum as spectrum_mod, zeta
 from .errors import (
@@ -48,11 +50,16 @@ def _parse_weight(text):
 
 
 def _parse_complex(text):
-    t = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    t = text.strip().replace(" ", "")
+    if t[-1:] in ("i", "I"):
+        t = t[:-1] + "j"  # the imaginary unit, not the i of inf
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError:
         raise InputError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(z):
+        raise InputError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _irrep_M(n, coords):
@@ -240,57 +247,54 @@ def _tau_table(n, coords):
         tau = rootdata.Irrep(rootdata.group_D(n, ambient=True), coords)
     except ValueError as e:
         raise InputError(str(e)) from None
-    return {
-        mu: mult for mu, mult in rootdata.weight_multiplicities(tau).items()
-    }
+    return rootdata.weight_multiplicities(tau)
 
 
-def _zeta_point(kind, s, sigma, tau_weights, spec, tail_target, k_max, cutoff,
-                xi_params):
-    """One fully evaluated point; shared by eval and scan paths."""
-    if kind == "selberg":
-        v = zeta.selberg_Z(s, sigma, spec, tail_target, cutoff)
-    elif kind == "log-selberg":
-        v = zeta.log_selberg(s, sigma, spec, tail_target, cutoff)
-    elif kind == "selberg-product":
-        val = zeta.selberg_Z_product(s, sigma, spec, k_max=k_max, cutoff=cutoff)
-        v = zeta.ZetaValue(value=val, tail_bound=0.0, cutoff_used=cutoff or 0.0)
-    elif kind == "symmetrized":
-        v = zeta.symmetrized_S(s, sigma, spec, tail_target, cutoff)
-    elif kind == "antisymmetric":
-        v = zeta.antisymmetric_Sa(s, sigma, spec, tail_target, cutoff)
-    elif kind == "ruelle-sigma":
-        lv = zeta.log_ruelle_sigma(s, sigma, spec, tail_target, cutoff)
-        val = _exp(lv.value)
-        v = zeta.ZetaValue(
-            value=val,
-            tail_bound=abs(val) * math.expm1(lv.tail_bound),
-            cutoff_used=lv.cutoff_used,
-        )
-    elif kind == "log-ruelle-sigma":
-        v = zeta.log_ruelle_sigma(s, sigma, spec, tail_target, cutoff)
-    elif kind == "ruelle-tau":
-        v = zeta.log_ruelle_tau(s, tau_weights, spec, tail_target, cutoff)
-    elif kind == "xi":
-        vol, p, c_gamma, c_norm = xi_params
-        val = zeta.xi_normalizer(s, sigma, vol, p, c_gamma, c_norm)
-        v = zeta.ZetaValue(value=val, tail_bound=0.0, cutoff_used=0.0)
-    else:
-        raise InputError(f"unknown zeta kind {kind!r}")
-    return v
+class _Point(NamedTuple):
+    """Inputs of one zeta evaluation, shared by the eval and scan paths."""
+
+    s: complex | None
+    sigma: object
+    tau_weights: dict | None
+    spec: object
+    tail_target: float
+    k_max: int
+    cutoff: float | None
+    xi_params: tuple
 
 
-def _exp(z):
-    import cmath
+def _series(name):
+    """A class-sum kind: zeta.<name>(s, sigma, spectrum, tail_target, cutoff)."""
+    return lambda pt: getattr(zeta, name)(
+        pt.s, pt.sigma, pt.spec, pt.tail_target, pt.cutoff)
 
-    return cmath.exp(z)
+
+# kind name -> one point's ZetaValue.  Entries reach zeta.<fn> when they run,
+# never at import, so a rebound zeta function is what gets called.
+_ZETA_KINDS = {
+    "selberg": _series("selberg_Z"),
+    "log-selberg": _series("log_selberg"),
+    "selberg-product": lambda pt: zeta.ZetaValue(
+        value=zeta.selberg_Z_product(pt.s, pt.sigma, pt.spec, k_max=pt.k_max,
+                                     cutoff=pt.cutoff),
+        tail_bound=0.0, cutoff_used=pt.cutoff or 0.0),
+    "symmetrized": _series("symmetrized_S"),
+    "antisymmetric": _series("antisymmetric_Sa"),
+    "ruelle-sigma": lambda pt: zeta._exp_value(zeta.log_ruelle_sigma(
+        pt.s, pt.sigma, pt.spec, pt.tail_target, pt.cutoff)),
+    "log-ruelle-sigma": _series("log_ruelle_sigma"),
+    "ruelle-tau": lambda pt: zeta.log_ruelle_tau(
+        pt.s, pt.tau_weights, pt.spec, pt.tail_target, pt.cutoff),
+    "xi": lambda pt: zeta.ZetaValue(
+        value=zeta.xi_normalizer(pt.s, pt.sigma, *pt.xi_params),
+        tail_bound=0.0, cutoff_used=0.0),
+}
 
 
 def _scan_worker(task):
-    kind, s, sigma, tau_weights, spec, tail_target, k_max, cutoff, xi_params = task
-    v = _zeta_point(kind, s, sigma, tau_weights, spec, tail_target, k_max,
-                    cutoff, xi_params)
-    return s.real, s.imag, v.value.real, v.value.imag, v.tail_bound
+    kind, pt = task
+    v = _ZETA_KINDS[kind](pt)
+    return pt.s.real, pt.s.imag, v.value.real, v.value.imag, v.tail_bound
 
 
 def _zeta_common(args, cfg):
@@ -315,15 +319,22 @@ def _zeta_common(args, cfg):
         _resolve(args, cfg, "C_Gamma", float, 0.0),
         _resolve(args, cfg, "c_norm", float, 1.0),
     )
-    return spec, sigma, tau_weights, tail_target, xi_params
+    return _Point(
+        s=None,
+        sigma=sigma,
+        tau_weights=tau_weights,
+        spec=spec,
+        tail_target=tail_target,
+        k_max=args.k_max,
+        cutoff=args.cutoff,
+        xi_params=xi_params,
+    )
 
 
 def cmd_zeta(args, cfg):
     if args.action == "eval":
-        spec, sigma, tau, tail_target, xi_params = _zeta_common(args, cfg)
-        s = _parse_complex(args.s)
-        v = _zeta_point(args.kind, s, sigma, tau, spec, tail_target,
-                        args.k_max, args.cutoff, xi_params)
+        pt = _zeta_common(args, cfg)._replace(s=_parse_complex(args.s))
+        v = _ZETA_KINDS[args.kind](pt)
         print(f"value={_cfmt(v.value)}")
         print(f"tail_bound={_g(v.tail_bound)}")
         print(f"cutoff={_g(v.cutoff_used)}")
@@ -335,7 +346,7 @@ def cmd_zeta(args, cfg):
                     f"--{flag.replace('_', '-')} must be >= 1, "
                     f"got {getattr(args, flag)}"
                 )
-        spec, sigma, tau, tail_target, xi_params = _zeta_common(args, cfg)
+        base = _zeta_common(args, cfg)
         res = [
             args.re_start + i * (args.re_stop - args.re_start) / max(args.re_steps - 1, 1)
             for i in range(args.re_steps)
@@ -345,8 +356,7 @@ def cmd_zeta(args, cfg):
             for i in range(args.im_steps)
         ]
         tasks = [
-            (args.kind, complex(re, im), sigma, tau, spec, tail_target,
-             args.k_max, args.cutoff, xi_params)
+            (args.kind, base._replace(s=complex(re, im)))
             for re in res
             for im in ims
         ]
@@ -361,10 +371,9 @@ def cmd_zeta(args, cfg):
         _emit(args, "\n".join(lines) + "\n")
         return 0
     if args.action == "factor-check":
-        spec, sigma, tau, tail_target, _ = _zeta_common(args, cfg)
-        s = _parse_complex(args.s)
+        pt = _zeta_common(args, cfg)
         lhs, rhs, disc = zeta.ruelle_selberg_factorization(
-            s, sigma, spec, tail_target
+            _parse_complex(args.s), pt.sigma, pt.spec, pt.tail_target
         )
         print(f"lhs={_cfmt(lhs.value)}")
         print(f"rhs={_cfmt(rhs.value)}")
@@ -507,7 +516,7 @@ def _verify_zeta(depth):
     )
     spectrum_mod.validate(one)
     v = zeta.log_ruelle_sigma(3.0, triv, one, 1e-13)
-    err = abs(_exp(v.value) - (1 - math.exp(-3))) + _fault()
+    err = abs(cmath.exp(v.value) - (1 - math.exp(-3))) + _fault()
     checks.append(("zeta.one_geodesic_law", err < 1e-12, f"err={err:.3e}"))
 
     spec = spectrum_mod.synthesize(1, 60, seed=17, mean_gap=0.25)
@@ -601,10 +610,7 @@ def _build_parser():
     zs = p.add_subparsers(dest="action", required=True)
 
     def _zeta_flags(q, with_s):
-        q.add_argument("--kind", default="selberg",
-                       choices=["selberg", "log-selberg", "selberg-product",
-                                "symmetrized", "antisymmetric", "ruelle-sigma",
-                                "log-ruelle-sigma", "ruelle-tau", "xi"])
+        q.add_argument("--kind", default="selberg", choices=list(_ZETA_KINDS))
         q.add_argument("--n", type=int)
         q.add_argument("--sigma")
         q.add_argument("--tau")
@@ -657,9 +663,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args.config) if args.config else {}
         return args.func(args, cfg)
     except PoleError as e:

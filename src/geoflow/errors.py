@@ -31,7 +31,7 @@ class IntegralityError(GeoflowError):
 
 
 class ResidualError(GeoflowError):
-    """A least-squares reconstruction left a residual above tolerance."""
+    """A numerical fit left a residual above tolerance; geoflow raises none."""
 
 
 class ConvergenceRegionError(GeoflowError):

@@ -25,12 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import GeoflowError
+
 __all__ = [
     "GroupDesc",
     "HighestWeight",
     "Irrep",
     "VirtualRep",
-    "TorusElement",
     "group_B",
     "group_D",
     "rho",
@@ -48,8 +49,6 @@ __all__ = [
     "nu_sigma",
     "nu_of_sigma",
     "spin_reps",
-    "tensor_with_spin",
-    "split_nu_pm",
     "m_coeffs",
     "lambda_p_nbar",
 ]
@@ -218,20 +217,6 @@ class VirtualRep:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """Angles (radians) on a fixed lift of the maximal torus to the Spin
-    group.  For half-integer weights theta and theta+2*pi are distinct
-    elements by design; coordinates are only 4*pi-periodic."""
-
-    angles: tuple
-
-    def __init__(self, angles):
-        object.__setattr__(self, "angles", tuple(float(a) for a in angles))
-        if not all(np.isfinite(self.angles)):
-            raise ValueError("torus angles must be finite")
-
-
 # ---------------------------------------------------------------------------
 # root data
 
@@ -294,7 +279,8 @@ def weyl_dim(rep):
         num *= _dot([a + b for a, b in zip(lam, rh)], alpha)
         den *= _dot(rh, alpha)
     d = num / den
-    assert d.denominator == 1 and d > 0, f"Weyl dimension {d} not a positive integer"
+    if d.denominator != 1 or d <= 0:
+        raise GeoflowError(f"Weyl dimension {d} not a positive integer")
     return int(d)
 
 
@@ -382,14 +368,16 @@ def _weight_table(family, rank, coords):
                     # candidate not yet processed would mean height ordering
                     # is broken; it is not a weight only if mult 0, but all
                     # candidates are weights here
-                    raise AssertionError("Freudenthal processing order broken")
+                    raise GeoflowError("Freudenthal processing order broken")
                 num += 2 * m_up * _dot(up, alpha)
                 k += 1
         mu_rho = [a + b for a, b in zip(mu, rh)]
         den = norm_top - _dot(mu_rho, mu_rho)
-        assert den > 0, "singular denominator in Freudenthal recursion"
+        if den <= 0:
+            raise GeoflowError("singular denominator in Freudenthal recursion")
         m = num / den
-        assert m.denominator == 1 and m > 0, f"non-integral multiplicity {m}"
+        if m.denominator != 1 or m <= 0:
+            raise GeoflowError(f"non-integral multiplicity {m}")
         dominant[mu] = int(m)
 
     # expand Weyl orbits
@@ -436,7 +424,7 @@ def character(rep, t):
     Weight-table evaluation only (never the Weyl quotient), so singular torus
     elements are ordinary inputs.  Accepts Irrep or VirtualRep.
     """
-    theta = np.asarray(t.angles if isinstance(t, TorusElement) else t, dtype=np.float64)
+    theta = np.asarray(t, dtype=np.float64)
     if isinstance(rep, VirtualRep):
         return sum(c * character(r, theta) for r, c in rep.items())
     W, m = _char_arrays(rep.group.family, rep.group.rank, rep.weight.coords)
@@ -542,134 +530,6 @@ def spin_reps(n):
     return kappa, kp, km
 
 
-def tensor_with_spin(nu):
-    """Decomposition of nu (x) kappa over B_n irreps, via the Klimyk shift
-    over the 2^n spinor weights; terms on Weyl-chamber walls drop out."""
-    n = nu.group.rank
-    rh = rho(nu.group)
-    out = {}
-    for signs in itertools.product((Fraction(1, 2), Fraction(-1, 2)), repeat=n):
-        v = [a + s + r for a, s, r in zip(nu.weight.coords, signs, rh)]
-        mags = [abs(c) for c in v]
-        if 0 in mags or len(set(mags)) < n:
-            continue  # singular: fixed by a reflection
-        order = sorted(range(n), key=lambda i: mags[i], reverse=True)
-        sign = _perm_sign(order) * (-1) ** sum(1 for c in v if c < 0)
-        dom = [mags[i] for i in order]
-        w = tuple(d - r for d, r in zip(dom, rh))
-        rep = Irrep(nu.group, HighestWeight(w))
-        out[rep] = out.get(rep, 0) + sign
-    vr = VirtualRep(out)
-    assert all(c > 0 for c in vr.terms.values()), "negative Klimyk multiplicity"
-    kappa = spin_reps(n)[0]
-    assert vr.dim() == weyl_dim(nu) * weyl_dim(kappa), "dimension mismatch in tensor"
-    return vr
-
-
-def _perm_sign(order):
-    sign = 1
-    order = list(order)
-    for i in range(len(order)):
-        while order[i] != i:
-            j = order[i]
-            order[i], order[j] = order[j], order[i]
-            sign = -sign
-    return sign
-
-
-def split_nu_pm(sigma):
-    """Split nu(sigma) (x) kappa into (nu+, nu-) with
-    iota* nu+ - iota* nu- = sigma + w0.sigma in R(M).
-
-    The 0/1 assignment is the unique solution of an exact linear system over
-    the M-irrep basis (the restriction map is injective on R(K)).
-    """
-    tensor = tensor_with_spin(nu_of_sigma(sigma))
-    comps = sorted(tensor.items(), key=lambda rc: rc[0].weight.coords, reverse=True)
-    target = VirtualRep({sigma: 1}) + VirtualRep({w0_act(sigma): 1})
-
-    basis = []
-    for rep, _ in comps:
-        for m_rep in branch_K_to_M(rep).terms:
-            if m_rep not in basis:
-                basis.append(m_rep)
-    for m_rep in target.terms:
-        if m_rep not in basis:
-            basis.append(m_rep)
-    index = {m_rep: i for i, m_rep in enumerate(basis)}
-
-    # columns: branchings b_v; want sum x_v a_v b_v - sum (a_v - x_v) ... with
-    # x_v in {0..a_v} copies assigned to nu+:  sum (2 x_v - a_v) b_v = t
-    # i.e.  sum x_v b_v = (t + sum a_v b_v) / 2  componentwise.
-    rows = len(basis)
-    cols = len(comps)
-    A = [[Fraction(0)] * cols for _ in range(rows)]
-    rhs = [Fraction(0)] * rows
-    total = VirtualRep({})
-    for cidx, (rep, a) in enumerate(comps):
-        br = branch_K_to_M(rep)
-        total = total + VirtualRep({r: a * c for r, c in br.items()})
-        for r, c in br.items():
-            A[index[r]][cidx] = Fraction(c)
-    for r, c in (target + total).items():
-        if c % 2 != 0:
-            raise RuntimeError("restriction parity broken in split_nu_pm")
-        rhs[index[r]] = Fraction(c, 2)
-
-    x = _solve_exact(A, rhs)
-    if x is None:
-        raise RuntimeError("sign-assignment system for nu+/nu- has no solution")
-    plus, minus = {}, {}
-    for (rep, a), xv in zip(comps, x):
-        if xv.denominator != 1 or not (0 <= xv <= a):
-            raise RuntimeError(f"non 0/1 sign assignment {xv} in split_nu_pm")
-        xv = int(xv)
-        if xv:
-            plus[rep] = xv
-        if a - xv:
-            minus[rep] = a - xv
-    vp, vm = VirtualRep(plus), VirtualRep(minus)
-    check = VirtualRep({})
-    for rep, c in vp.items():
-        check = check + VirtualRep({r: c * m for r, m in branch_K_to_M(rep).items()})
-    for rep, c in vm.items():
-        check = check - VirtualRep({r: c * m for r, m in branch_K_to_M(rep).items()})
-    if check != target:
-        raise RuntimeError("restriction identity failed after sign assignment")
-    return vp, vm
-
-
-def _solve_exact(A, b):
-    """Gaussian elimination over Fractions for a (possibly overdetermined)
-    consistent system; returns one solution or None."""
-    rows, cols = len(A), len(A[0]) if A else 0
-    M = [list(row) + [b[i]] for i, row in enumerate(A)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c]
-        M[r] = [v / inv for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [v - f * w for v, w in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if M[i][cols] != 0:
-            return None  # inconsistent
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = M[i][cols]
-    return x
-
-
 def m_coeffs(sigma):
     """Integer coefficients m_nu in {-1,0,1} with
     sum_nu m_nu iota* nu = sigma        (sigma = w0.sigma)
@@ -692,8 +552,8 @@ def m_coeffs(sigma):
         br = branch_K_to_M(nu)
         target = target - VirtualRep({r: coeff * c for r, c in br.items()})
     vr = VirtualRep(out)
-    assert all(c in (-1, 0, 1) for c in vr.terms.values()), \
-        f"m-coefficients escaped {{-1,0,1}}: {vr}"
+    if any(c not in (-1, 0, 1) for c in vr.terms.values()):
+        raise GeoflowError(f"m-coefficients escaped {{-1,0,1}}: {vr}")
     return vr
 
 
@@ -706,9 +566,11 @@ def _decompose_table(group, table):
     out = {}
     while work:
         top = max(work)
-        assert is_dominant(group.family, top), f"lex-max weight {top} not dominant"
+        if not is_dominant(group.family, top):
+            raise GeoflowError(f"lex-max weight {top} not dominant")
         mult = work[top]
-        assert mult > 0, "negative multiplicity during decomposition"
+        if mult <= 0:
+            raise GeoflowError("negative multiplicity during decomposition")
         rep = Irrep(group, HighestWeight(top))
         out[rep] = out.get(rep, 0) + mult
         for mu, m in _weight_table(group.family, group.rank, rep.weight.coords).items():
@@ -717,7 +579,8 @@ def _decompose_table(group, table):
                 work[mu] = new
             else:
                 work.pop(mu, None)
-        assert top not in work, "peel step failed to remove its top weight"
+        if top in work:
+            raise GeoflowError("peel step failed to remove its top weight")
     return VirtualRep(out)
 
 
@@ -740,5 +603,6 @@ def lambda_p_nbar(n, p):
         table[mu] = table.get(mu, 0) + 1
     vr = _decompose_table(M, table)
     from math import comb
-    assert vr.dim() == comb(2 * n, p), "dimension mismatch in exterior power"
+    if vr.dim() != comb(2 * n, p):
+        raise GeoflowError("dimension mismatch in exterior power")
     return vr

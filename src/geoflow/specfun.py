@@ -18,17 +18,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     DegenerateDenominatorError,
     InputError,
     IntegralityError,
     PoleError,
-    ResidualError,
 )
 from . import rootdata
-from .rootdata import Irrep, weyl_dim, w0_act
+from .rootdata import weyl_dim
 
 __all__ = [
     "EULER_GAMMA",
@@ -370,44 +367,47 @@ def omega_decomposed(sigma, lam):
     return _omega_explicit_terms(sigma, lam) - extract_Q(sigma)(lam)
 
 
-_Q_CACHE = {}
+def _poly_from_roots(roots):
+    """Coefficients of prod_r (x + r), lowest degree first, exact."""
+    poly = [Fraction(1)]
+    for r in roots:
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for m, a in enumerate(poly):
+            nxt[m] += a * r
+            nxt[m + 1] += a
+        poly = nxt
+    return poly
 
 
 def extract_Q(sigma):
-    """Residual even polynomial Q(sigma, .) of degree <= 2n-4: least-squares
-    fit of omega_direct minus the explicit terms on a generic real grid.
-    Raises if the fit leaves more than 1e-8."""
-    key = sigma
-    if key in _Q_CACHE:
-        return _Q_CACHE[key]
+    """Residual even polynomial Q(sigma, .) of degree <= 2n-4, exact.
+
+    In x = lambda^2, P_j(x) = dim(sigma) prod_{p != j} (x + c_p^2) /
+    (c_p^2 - c_j^2), a Lagrange basis, so sum_j P_j = dim(sigma).  The
+    digamma shift identities turn half the slot-j bracket of omega_direct
+    into psi(A+il) + psi(A-il) + sum_{A <= l < a_j} 2l/(x+l^2) + a_j/(x+a_j^2),
+    a_j = |c_j|, anchor A = 1 (integral sigma) or 1/2.  The explicit terms are
+    the pole parts of P_j times those fractions; Q is the sum of their
+    polynomial parts, by synthetic division in Fractions, rounded once."""
     n = sigma.group.rank
-    npts = max(n + 3, 9)
-    grid = [0.31 + 0.47 * i for i in range(npts)]  # avoids integer poles
-    resid = np.array(
-        [(omega_direct(sigma, x) - _omega_explicit_terms(sigma, x)).real
-         for x in grid]
-    )
-    imag_leak = max(
-        abs((omega_direct(sigma, x) - _omega_explicit_terms(sigma, x)).imag)
-        for x in grid
-    )
-    # direct = explicit - Q, so Q ~ -resid; fit its even-monomial coefficients
-    ncoef = max(n - 1, 0)  # monomials lambda^0, ..., lambda^(2n-4)
-    if ncoef == 0:
-        coeffs = []
-        err = float(np.max(np.abs(resid))) + imag_leak
-    else:
-        A = np.array([[x ** (2 * m) for m in range(ncoef)] for x in grid])
-        coeffs, *_ = np.linalg.lstsq(A, -resid, rcond=None)
-        err = float(np.max(np.abs(resid + A @ coeffs))) + imag_leak
-        coeffs = list(coeffs)
-    if err > 1e-8:
-        raise ResidualError(
-            f"omega decomposition residual {err:.3e} for sigma={sigma.weight}"
-        )
-    q = EvenPolynomial(coeffs, degree_bound=max(2 * n - 4, 0))
-    _Q_CACHE[key] = q
-    return q
+    dim = weyl_dim(sigma)
+    cs = _sigma_slots(sigma)
+    sq = [c * c for c in cs]
+    anchor = Fraction(1, 2) if sigma.weight.half_integral else Fraction(1)
+    q = [Fraction(0)] * (n - 1)
+    for j, c in enumerate(cs):
+        a = abs(c)
+        others = sq[:j] + sq[j + 1:]
+        p_j_coeffs = _poly_from_roots(others)
+        scale = Fraction(dim, math.prod(s2 - sq[j] for s2 in others))
+        ladder = (anchor + m for m in range(int(a - anchor)))  # A <= l < a_j
+        for w, r in [(a, a * a), *((2 * l, l * l) for l in ladder)]:
+            # quotient of P_j by (x + r), highest coefficient first
+            carry = Fraction(0)
+            for m in range(len(p_j_coeffs) - 1, 0, -1):
+                carry = p_j_coeffs[m] - r * carry
+                q[m - 1] += scale * w * carry
+    return EvenPolynomial(q, degree_bound=max(2 * n - 4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +430,10 @@ def plancherel_poly(sigma, c_norm=1.0):
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             den *= (rho_g[i] - rho_g[j]) * (rho_g[i] + rho_g[j])
-    const /= den
+    const *= (-1) ** n / den
 
-    # expand prod_j (-x - c_j^2) in x = lambda^2, exact rationals
-    poly = [Fraction(1)]
-    for c in cs:
-        c2 = c * c
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for m, a in enumerate(poly):
-            nxt[m] += a * (-c2)
-            nxt[m + 1] += -a
-        poly = nxt
+    # prod_j (-x - c_j^2) = (-1)^n prod_j (x + c_j^2) in x = lambda^2
+    poly = _poly_from_roots([c * c for c in cs])
     coeffs = [float(c_norm) * float(const * a) for a in poly]
     return EvenPolynomial(coeffs, degree_bound=2 * n)
 

@@ -416,9 +416,13 @@ def _unknown_tail(spectrum, x, growth):
     two_n = 2 * spectrum.n
     if rc <= 0.0 or x <= two_n:
         return math.inf
+    try:
+        head = (-math.expm1(-rc)) ** (-two_n)
+    except OverflowError:
+        return math.inf  # a cutoff this close to zero bounds nothing
     return (
-        (1.0 - math.exp(-rc)) ** (-two_n)
-        / (1.0 - math.exp(-x * rc))
+        head
+        / -math.expm1(-x * rc)
         * growth
         * x
         * math.exp(-(x - two_n) * rc)

@@ -191,12 +191,17 @@ def selberg_Z_product(s, sigma, spectrum, k_max=30, cutoff=None):
     where A is the class action on the negative nilpotent space and S^k
     eigenvalues are k-fold products of its eigenvalues.  Cross-check route
     for the log-series; no certified bound is attached.  The factor count
-    per prime grows as C(k_max + 2n, 2n), so keep k_max modest at rank 3+."""
+    per prime grows as C(k_max + 2n, 2n), so keep k_max modest at rank 3+.
+    cutoff=None takes every listed prime; a given one must be finite, >= 0."""
     n = spectrum.n
     s = complex(s)
     _require_halfplane(s, 2 * n, "selberg_Z_product")
+    if k_max < 0:
+        raise InputError(f"k_max must be >= 0, got {k_max}")
     if cutoff is None:
         cutoff = math.inf
+    elif not (math.isfinite(cutoff) and cutoff >= 0):
+        raise InputError(f"cutoff must be finite and >= 0, got {cutoff}")
     table = rootdata.weight_multiplicities(sigma)
     log_out = 0j
     for g in spectrum.entries:
@@ -370,9 +375,10 @@ def xi_normalizer(s, sigma, vol, p, C_Gamma, c_norm=1.0):
         * Gamma(1+s)^(-p eps dim sigma),
 
     with eps = epsilon_sigma(sigma) and
-    c_G = eps (dim sigma C_Gamma - dim sigma gamma_Euler p).  Polynomial
-    integrals are evaluated termwise exactly.  A nonpositive-integer 1+s
-    raises the underlying log-gamma pole error; a value too large for a
+    c_G = eps (dim sigma C_Gamma - dim sigma gamma_Euler p).  Q is the exact
+    rational remainder of specfun.extract_Q, rounded once to float, and the
+    polynomial integrals are evaluated termwise exactly.  A nonpositive-integer
+    1+s raises the underlying log-gamma pole error; a value too large for a
     float raises GeoflowError."""
     s = complex(s)
     eps = epsilon_sigma(sigma)

@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
+from geoflow import cli
 from geoflow.cli import main
+from geoflow.errors import InputError
 
 
 def run(capsys, *argv):
@@ -252,7 +255,7 @@ def test_zeta_scan_csv_shape_and_worker_identity(tmp_path, capsys, deep_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--s", "nan"], "decay rate"),
+    (["--s", "nan"], "'nan' is not finite"),
     (["--s", "4", "--tail-target", "nan"], "tail_target"),
     (["--s", "4", "--cutoff", "nan"], "cutoff"),
     (["--s", "4", "--cutoff", "-1"], "cutoff"),
@@ -281,6 +284,87 @@ def test_zeta_eval_xi_overflow_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "overflows at s=(1+0j)" in err and "Re log xi" in err
+
+
+def test_zeta_eval_xi_rank_five_exits_0(capsys):
+    code, out, err = run(capsys, "zeta", "eval", "--kind", "xi", "--n", "5",
+                         "--sigma=6,4,3,2,1", "--s=0.01", "--vol", "1",
+                         "--p", "1")
+    assert code == 0, err
+    assert out.startswith("value=")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--cutoff", "-1"], "cutoff must be finite and >= 0, got -1.0"),
+    (["--cutoff", "nan"], "cutoff must be finite and >= 0, got nan"),
+    (["--cutoff", "inf"], "cutoff must be finite and >= 0, got inf"),
+    (["--k-max", "-1"], "k_max must be >= 0, got -1"),
+], ids=["cutoff-negative", "cutoff-nan", "cutoff-inf", "k-max-negative"])
+def test_zeta_eval_selberg_product_bad_input_exits_2(capsys, deep_path, flags,
+                                                     message):
+    code, out, err = run(capsys, "zeta", "eval", "--kind", "selberg-product",
+                         "--sigma", "0", "--s", "4", "--spectrum", deep_path,
+                         *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2+1i", 2 + 1j), ("1i", 1j), ("3I", 3j), ("-0.5-2i", -0.5 - 2j),
+    ("4", 4 + 0j), ("1+2j", 1 + 2j),
+])
+def test_parse_complex_imaginary_unit(text, value):
+    assert cli._parse_complex(text) == value
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1+infi", "infj"])
+def test_parse_complex_rejects_non_finite(text):
+    with pytest.raises(InputError, match=re.escape(f"'{text}' is not finite")):
+        cli._parse_complex(text)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv, flag", [
+    (["zeta", "eval", "--kind", "xi", "--n", "1", "--sigma", "0"], "--s"),
+    (["specfun", "omega", "--n", "1", "--sigma", "0"], "--lambda"),
+    (["specfun", "cnu", "--n", "1", "--sigma", "1", "--nu", "1",
+      "--lambda", "1"], "--alpha-n"),
+], ids=["s", "lambda", "alpha-n"])
+def test_non_finite_complex_flag_exits_2(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"complex number '{value}' is not finite" in err
+
+
+def test_complex_flag_trailing_unit(capsys):
+    base = ["zeta", "eval", "--kind", "xi", "--n", "1", "--sigma", "1"]
+    for i_form, j_form in [("2+1i", "2+1j"), ("1i", "1j")]:
+        code, out_i, _ = run(capsys, *base, "--s", i_form)
+        assert code == 0
+        code, out_j, _ = run(capsys, *base, "--s", j_form)
+        assert code == 0
+        assert out_i == out_j
+
+
+@pytest.mark.parametrize("cutoff, message", [
+    ("1e-18", "spectrum complete to 1e-18 certifies at best"),
+    ("1e-200", "completeness cutoff 1e-200 admits no tail bound"),
+])
+def test_zeta_eval_tiny_completeness_cutoff_exits_1(tmp_path, capsys, cutoff,
+                                                   message):
+    path = tmp_path / "tiny.jsonl"
+    path.write_text(
+        '{"format": "geoflow-spectrum", "version": 1, "n": 1, '
+        f'"cutoff": {cutoff}}}\n'
+        '{"length": 1.0, "angles": [0.0], "mult": 1}\n'
+    )
+    code, out, err = run(capsys, "zeta", "eval", "--sigma", "0", "--s", "4",
+                         "--spectrum", str(path))
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,37 @@ def test_q_degree_bound():
         assert sf.extract_Q(D(n, coords)).degree() <= 2 * n - 4
 
 
+def test_q_is_exact_rational_rounded_once():
+    # the polynomial part of the partial fractions, with no fit residue
+    assert sf.extract_Q(D(4, (3, 2, 1, 1))).coeffs == (float(F(-15400, 3)),)
+    assert sf.extract_Q(D(5, (6, 4, 3, 2, 1))).coeffs == (-116688000.0,)
+    for n, coords, c0 in [(2, (1, 0), -4.0), (2, (2, 1), -8.0),
+                          (2, (F(3, 2), H), -6.0), (2, (H, -H), -2.0),
+                          (3, (2, 1, 0), -96.0), (3, (F(5, 2), F(3, 2), H), -210.0),
+                          (3, (3, 1, -1), -189.0)]:
+        assert sf.extract_Q(D(n, coords)).coeffs == (c0,)
+
+
+@st.composite
+def dominant_d_weights(draw):
+    n = draw(st.integers(1, 4))
+    tops = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                  reverse=True)
+    shift = H if draw(st.booleans()) else 0
+    coords = [F(t) + shift for t in tops]
+    if draw(st.booleans()):
+        coords[-1] = -coords[-1]
+    return D(n, coords)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dominant_d_weights(), st.floats(0.1, 4.0))
+def test_q_rebuilds_omega(sigma, lam):
+    direct = sf.omega_direct(sigma, lam)
+    rebuilt = sf.omega_decomposed(sigma, lam)
+    assert abs(direct - rebuilt) <= 1e-12 * max(1.0, abs(direct))
+
+
 # ---------------------------------------------------------------------------
 # even polynomial helper
 

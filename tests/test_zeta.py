@@ -122,6 +122,24 @@ def test_selberg_series_vs_product_twisted(synthetic):
     assert abs(series.value - product) <= series.tail_bound + 1e-9
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(cutoff=-1.0),
+    dict(cutoff=math.nan),
+    dict(cutoff=math.inf),
+    dict(k_max=-1),
+], ids=["cutoff-negative", "cutoff-nan", "cutoff-inf", "k-max-negative"])
+def test_selberg_product_rejects_bad_cutoff_and_k_max(kwargs):
+    with pytest.raises(InputError):
+        zt.selberg_Z_product(4.0, TRIV1, one_prime(), **kwargs)
+
+
+def test_selberg_product_accepts_zero_cutoff_and_k_max():
+    # cutoff 0 leaves an empty product; k_max 0 keeps only S^0 = 1
+    assert zt.selberg_Z_product(4.0, TRIV1, one_prime(), cutoff=0.0) == 1.0
+    assert zt.selberg_Z_product(4.0, TRIV1, one_prime(), k_max=0) == \
+        pytest.approx(1 - math.exp(-5), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # symmetrized and antisymmetric combinations
 
