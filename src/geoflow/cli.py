@@ -18,7 +18,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import NamedTuple
 
 from . import rootdata, specfun, spectrum as spectrum_mod, zeta
@@ -361,6 +360,10 @@ def cmd_zeta(args, cfg):
             for im in ims
         ]
         if args.workers > 1:
+            # imported here, so that processes that never start a pool do
+            # not pay for importing multiprocessing
+            from multiprocessing import Pool
+
             with Pool(args.workers) as pool:
                 rows = pool.map(_scan_worker, tasks)
         else:

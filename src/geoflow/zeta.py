@@ -204,9 +204,8 @@ def selberg_Z_product(s, sigma, spectrum, k_max=30, cutoff=None):
         raise InputError(f"cutoff must be finite and >= 0, got {cutoff}")
     table = rootdata.weight_multiplicities(sigma)
     log_out = 0j
-    for g in spectrum.entries:
-        if g.length > cutoff:
-            continue
+    listed = np.flatnonzero(spectrum.lengths <= cutoff).tolist()
+    for g in spectrum._primes(listed):
         sigma_evs = []
         for mu, mult in table.items():
             phase = sum(float(c) * th for c, th in zip(mu, g.angles))

@@ -348,6 +348,30 @@ def test_complex_flag_trailing_unit(capsys):
         assert out_i == out_j
 
 
+@pytest.mark.parametrize("fields", [
+    '"n": 1, "cutoff": NaN',
+    '"n": 1, "cutoff": 3.0, "growth": -1',
+    '"n": 1, "cutoff": 3.0, "growth": NaN',
+    '"n": 1, "cutoff": 3.0, "growth": "x"',
+    '"cutoff": 3.0',
+    '"n": "1", "cutoff": 3.0',
+], ids=["cutoff-nan", "growth-negative", "growth-nan", "growth-text", "n-missing",
+        "n-text"])
+@pytest.mark.parametrize("action", ["validate", "eval"])
+def test_bad_header_field_exits_2(tmp_path, capsys, fields, action):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"format": "geoflow-spectrum", "version": 1, ' + fields + '}\n'
+        '{"length": 1.0, "angles": [0.0], "mult": 1}\n'
+    )
+    argv = (["spectrum", "validate", str(path)] if action == "validate" else
+            ["zeta", "eval", "--sigma", "0", "--s", "4", "--spectrum", str(path)])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: ")
+
+
 @pytest.mark.parametrize("cutoff, message", [
     ("1e-18", "spectrum complete to 1e-18 certifies at best"),
     ("1e-200", "completeness cutoff 1e-200 admits no tail bound"),

@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geoflow.rootdata as rd
 import geoflow.spectrum as sp
+import geoflow.zeta as zt
 from geoflow.errors import (
     ConvergenceRegionError,
     InputError,
@@ -108,6 +112,138 @@ def test_parse_reports_line_numbers():
     lines[2] = '{"length": -3, "angles": [0.0], "mult": 1}'
     with pytest.raises(InputError, match="line 3"):
         sp.parse("\n".join(lines), "jsonl")
+
+
+HEAD1 = '{"format": "geoflow-spectrum", "version": 1, "n": 1, "cutoff": 3.0}'
+GOOD_ROW = '{"length": 1.0, "angles": [0.0], "mult": 1}'
+CSV_HEAD1 = "# geoflow-spectrum version=1 n=1 cutoff=3.0\nlength,angle_2,mult"
+
+# one bad record per case, as (JSONL line, CSV line, message fragment)
+BAD_ROWS = {
+    "length-nonpositive": ('{"length": 0.0, "angles": [0.0], "mult": 1}',
+                           "0.0,0.0,1", "geodesic length must be positive"),
+    "angle-nan": ('{"length": 1.0, "angles": [NaN], "mult": 1}',
+                  "1.0,nan,1", "holonomy angles must be finite"),
+    "mult-zero": ('{"length": 1.0, "angles": [0.0], "mult": 0}',
+                  "1.0,0.0,0", "multiplicity must be >= 1"),
+    "angle-count": ('{"length": 1.0, "angles": [0.0, 0.5], "mult": 1}',
+                    "1.0,0.0,0.5,1", "2 angles, expected 1|4 fields, expected 3"),
+    "missing-key": ('{"angles": [0.0], "mult": 1}',
+                    "1.0,1", "malformed record: 'length'|2 fields, expected 3"),
+    "non-numeric": ('{"length": "abc", "angles": [0.0], "mult": 1}',
+                    "1.0,abc,1", "malformed record: could not convert"),
+}
+
+
+def good_rows(fmt, count):
+    spec = sp.synthesize(1, count, seed=2)
+    lines = sp.serialize(spec, fmt).splitlines()
+    return lines[1:] if fmt == "jsonl" else lines[2:]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+@pytest.mark.parametrize("before, blanks", [(1, 2), (3000, 0), (3000, 5)],
+                         ids=["early", "second-chunk", "second-chunk-blanks"])
+def test_parse_names_physical_line_of_bad_row(fmt, case, before, blanks):
+    jsonl_row, csv_row, message = BAD_ROWS[case]
+    head = HEAD1 if fmt == "jsonl" else CSV_HEAD1
+    rows = good_rows(fmt, before + 1)
+    lines = (head.splitlines() + [""] * blanks + rows[:before]
+             + [jsonl_row if fmt == "jsonl" else csv_row] + rows[before:])
+    bad_no = len(head.splitlines()) + blanks + before + 1
+    with pytest.raises(InputError, match=rf"^line {bad_no}: ({message})"):
+        sp.parse("\n".join(lines) + "\n", fmt)
+
+
+# records that run over two lines, each paired with a line holding two
+# records, so that the file as a whole still has one record per line
+SPLIT_RECORDS = {
+    "two-then-split": [
+        '{"length": 1.0, "angles": [0.0], "mult": 1}, {"length": 2.0',
+        '"angles": [0.0], "mult": 1}',
+    ],
+    "split-then-two": [
+        '{"length": 1.0, "angles": [0.0], "mult": 1, "note": [[1',
+        '2]]}',
+        '{"length": 1.5, "angles": [0.0], "mult": 1}, '
+        '{"length": 2.0, "angles": [0.0], "mult": 1}',
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_RECORDS))
+@pytest.mark.parametrize("before", [1, 3000], ids=["early", "second-chunk"])
+def test_parse_refuses_record_split_over_two_lines(case, before):
+    rows = good_rows("jsonl", before + 1)
+    lines = [HEAD1] + rows[:before] + SPLIT_RECORDS[case] + rows[before:]
+    with pytest.raises(InputError, match=rf"^line {before + 2}: malformed record"):
+        sp.parse("\n".join(lines) + "\n", "jsonl")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ('"cutoff": 3.0', "n must be an integer >= 1, got None"),
+    ('"n": "1", "cutoff": 3.0', "n must be an integer >= 1, got '1'"),
+    ('"n": 0, "cutoff": 3.0', "n must be an integer >= 1, got 0"),
+    ('"n": 1.0, "cutoff": 3.0', "n must be an integer >= 1, got 1.0"),
+    ('"n": true, "cutoff": 3.0', "n must be an integer >= 1, got True"),
+    ('"n": 1, "cutoff": NaN', "completeness_cutoff must be >= 0, got nan"),
+    ('"n": 1, "cutoff": -1', "completeness_cutoff must be >= 0"),
+    ('"n": 1, "cutoff": "x"', "completeness_cutoff must be a number"),
+    ('"n": 1, "cutoff": 3.0, "growth": "x"', "growth constant must be a number"),
+    ('"n": 1, "cutoff": 3.0, "growth": -1', "growth constant must be finite and >= 0"),
+    ('"n": 1, "cutoff": 3.0, "growth": NaN', "growth constant must be finite and >= 0"),
+    ('"n": 1, "cutoff": 3.0, "growth": Infinity',
+     "growth constant must be finite and >= 0"),
+])
+def test_jsonl_header_fields_are_checked(fields, message):
+    text = ('{"format": "geoflow-spectrum", "version": 1, ' + fields + "}\n"
+            + GOOD_ROW + "\n")
+    with pytest.raises(InputError, match="^line 1: " + re.escape(message)):
+        sp.parse(text, "jsonl")
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("n=x cutoff=3.0", "n must be an integer >= 1, got 'x'"),
+    ("n=0 cutoff=3.0", "n must be an integer >= 1, got 0"),
+    ("n=1 cutoff=nan", "completeness_cutoff must be >= 0, got nan"),
+    ("n=1 cutoff=x", "completeness_cutoff must be a number"),
+    ("n=1 cutoff=3.0 growth=x", "growth constant must be a number"),
+    ("n=1 cutoff=3.0 growth=-1", "growth constant must be finite and >= 0"),
+    ("n=1 cutoff=3.0 growth=nan", "growth constant must be finite and >= 0"),
+])
+def test_csv_metadata_fields_are_checked(meta, message):
+    text = f"# geoflow-spectrum version=1 {meta}\nlength,angle_2,mult\n1.0,0.0,1\n"
+    with pytest.raises(InputError, match="^line 1: " + re.escape(message)):
+        sp.parse(text, "csv")
+
+
+def test_header_growth_round_trips_when_valid():
+    for growth in (0.0, 2.5):
+        spec = one_prime(cutoff=3.0)
+        spec.growth_constant = growth
+        for fmt in ("jsonl", "csv"):
+            assert sp.parse(sp.serialize(spec, fmt), fmt).growth_constant == growth
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n="1"),
+    dict(n=0),
+    dict(n=1, completeness_cutoff=math.nan),
+    dict(n=1, growth_constant=-1.0),
+    dict(n=1, growth_constant=math.nan),
+])
+def test_length_spectrum_rejects_bad_fields(kwargs):
+    with pytest.raises(InputError):
+        sp.LengthSpectrum(**kwargs)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_round_trip_across_parse_chunks(fmt):
+    spec = sp.synthesize(2, 5000, seed=6)
+    back = sp.parse(sp.serialize(spec, fmt), fmt)
+    assert back == spec
+    assert back.entries == spec.entries
 
 
 def test_parse_rejects_missing_header():
@@ -499,6 +635,66 @@ def test_class_iterator_leaves_growth_constant_unset():
     sp.class_iterator(spec, 4.0, 1e-8)
     assert spec.growth_constant is None
     assert sp.validate(spec).fitted_growth == spec.growth_constant > 0.0
+
+
+# ---------------------------------------------------------------------------
+# columns, lazy entries and pickling
+
+def test_evaluation_builds_prime_objects_only_below_cutoff(monkeypatch):
+    text = sp.serialize(sp.synthesize(1, 2000, seed=21), "jsonl")
+    built = []
+    post_init = sp.PrimeGeodesic.__post_init__
+
+    def counting(self):
+        built.append(self.length)
+        post_init(self)
+
+    monkeypatch.setattr(sp.PrimeGeodesic, "__post_init__", counting)
+    spec = sp.parse(text)
+    assert built == []
+    value = zt.selberg_Z(6.0, rd.Irrep(rd.group_D(1), (0,)), spec, 1e-10)
+    assert 0 < len(built) < len(spec)
+    assert max(built) <= value.cutoff_used
+
+
+def test_entries_view_matches_columns():
+    spec = sp.parse(sp.serialize(sp.synthesize(2, 40, seed=4), "jsonl"))
+    assert spec.entries is spec.entries
+    assert [g.length for g in spec.entries] == spec.lengths.tolist()
+    assert [list(g.angles) for g in spec.entries] == spec.angles.tolist()
+    assert [g.multiplicity for g in spec.entries] == spec.mult.tolist()
+    with pytest.raises(ValueError):
+        spec.lengths[0] = 1.0
+
+
+def test_pickle_round_trip_carries_columns_only():
+    text = sp.serialize(sp.synthesize(1, 300, seed=5), "jsonl")
+    spec = sp.parse(text)
+    fresh_size = len(pickle.dumps(spec))
+    first = sp.class_iterator(spec, 4.0, 1e-8)
+    spec.entries  # build every PrimeGeodesic
+    data = pickle.dumps(spec)
+    assert len(data) == fresh_size
+    back = pickle.loads(data)
+    assert back == spec
+    assert not back.lengths.flags.writeable
+    assert same_stream(sp.class_iterator(back, 4.0, 1e-8), first)
+
+
+@st.composite
+def tied_spectra(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    value = st.sampled_from([0.5, 1.0, 2.0])
+    rows = draw(st.lists(st.tuples(value, st.lists(value, min_size=n, max_size=n)),
+                         max_size=6))
+    return sp.LengthSpectrum(n=n, entries=[sp.PrimeGeodesic(l, a) for l, a in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_spectra())
+def test_validate_sortedness_matches_key_sort(spec):
+    keys = [(g.length, g.angles) for g in spec.entries]
+    assert sp.validate(spec).sorted_ok == (keys == sorted(keys))
 
 
 # ---------------------------------------------------------------------------
